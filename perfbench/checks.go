@@ -8,13 +8,39 @@ import (
 )
 
 // checkError marks an operation whose output failed a check, as opposed
-// to a call that returned an error.
-type checkError struct{ msg string }
+// to a call that returned an error. Either fails the operation.
+type checkError struct {
+	msg string
+	// periodFault marks the one failure the benchmark expects: a
+	// warm-started or served solve that returns the reference throughput
+	// with another period (see checkSamePeriod). It fails the operation
+	// but, unlike every other failed check, leaves the run's "correct"
+	// true.
+	periodFault bool
+}
 
 func (e *checkError) Error() string { return "check failed: " + e.msg }
 
 func checkFailed(format string, args ...any) error {
 	return &checkError{msg: fmt.Sprintf(format, args...)}
+}
+
+// wrongAnswer reports whether err holds a failed check other than the
+// period fault.
+func wrongAnswer(err error) bool {
+	switch e := err.(type) {
+	case *checkError:
+		return !e.periodFault
+	case interface{ Unwrap() []error }:
+		for _, x := range e.Unwrap() {
+			if wrongAnswer(x) {
+				return true
+			}
+		}
+	case interface{ Unwrap() error }:
+		return wrongAnswer(e.Unwrap())
+	}
+	return false
 }
 
 // checkVerify wraps a failed Solution.Verify.
@@ -52,13 +78,14 @@ func checkSameTP(tp, want steadystate.Rat) error {
 }
 
 // checkSamePeriod rejects a period that differs from a reference solve of
-// the same scenario. Warm-started solves can return another optimal
-// vertex than the cold solve, with the same throughput but another
-// period, on some seeds only; the loops count that apart, as
-// periodMismatches, instead of failing the operation (see README).
+// the same scenario. The library documents that warm starts change no
+// reported rational, yet a warm-started solve can end on another optimal
+// vertex than the cold one: the same throughput with another period. That
+// known fault fails the operation like any other check; it is marked so
+// that it alone leaves the run's "correct" true (README, known faults).
 func checkSamePeriod(period, want *big.Int) error {
 	if period.Cmp(want) != 0 {
-		return checkFailed("period %s differs from the reference period %s", period, want)
+		return &checkError{msg: fmt.Sprintf("period %s differs from the reference period %s", period, want), periodFault: true}
 	}
 	return nil
 }

@@ -132,15 +132,15 @@ func TestReferenceChecks(t *testing.T) {
 	if err := checkSamePeriod(new(big.Int).Set(period), period); err != nil {
 		t.Errorf("identical period rejected: %v", err)
 	}
-	wantCheckError(t, "another period", checkSamePeriod(new(big.Int).Add(period, big.NewInt(1)), period))
-}
-
-func TestQuartilesMatchPython(t *testing.T) {
-	// statistics.quantiles([1, 2, 3, 4, 5, 6, 7, 8, 9, 10], n=4)
-	// == [2.75, 5.5, 8.25]
-	q := quartiles([]float64{10, 9, 8, 7, 6, 5, 4, 3, 2, 1})
-	if q != [3]float64{2.75, 5.5, 8.25} {
-		t.Errorf("quartiles = %v, want [2.75 5.5 8.25]", q)
+	periodErr := checkSamePeriod(new(big.Int).Add(period, big.NewInt(1)), period)
+	wantCheckError(t, "another period", periodErr)
+	// The period fault fails the operation without marking the run
+	// incorrect; any other failed check beside it does.
+	if wrongAnswer(periodErr) {
+		t.Error("the period fault alone counted as a wrong answer")
+	}
+	if !wrongAnswer(errors.Join(periodErr, checkSameTP(ulpAbove(tp), tp))) {
+		t.Error("a throughput mismatch next to the period fault not counted as a wrong answer")
 	}
 }
 
@@ -159,7 +159,7 @@ func TestSmokeEveryWorkload(t *testing.T) {
 			if !res.Correct || res.Failed != 0 || res.Attempted == 0 {
 				t.Fatalf("smoke run: correct=%t failed=%d attempted=%d", res.Correct, res.Failed, res.Attempted)
 			}
-			for _, m := range []string{"ops_per_s", "op_p50_ms", "op_p90_ms", "rss_peak_mb", "setup_s"} {
+			for _, m := range []string{"ops_per_cpu_s", "op_cpu_p50_ms", "op_cpu_p90_ms", "rss_peak_mb", "setup_s"} {
 				if res.Metrics[m].Value <= 0 {
 					t.Errorf("%s = %v, want > 0", m, res.Metrics[m].Value)
 				}

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -42,7 +43,6 @@ var perLayerMetrics = []struct{ name, unit string }{
 	{"lp.warm_starts", "count"},
 	{"lp.warm_rejects", "count"},
 	{"lp.warm_over_cold", "ratio"},
-	{"lp.warm_period_mismatches", "count"},
 	{"schedule.build_ms", "ms"},
 	{"schedule.alloc_mb", "MB"},
 	{"sim.model_ms", "ms"},
@@ -56,6 +56,9 @@ var perLayerMetrics = []struct{ name, unit string }{
 	{"serve.decode_ms", "ms"},
 	{"serve.cache_key_ms", "ms"},
 	{"obs.trace_overhead_pct", "%"},
+	{"loop.wall_ops_per_s", "1/s"},
+	{"loop.wall_p50_ms", "ms"},
+	{"loop.wall_p90_ms", "ms"},
 }
 
 // spanLayers maps the program's span names to layer metric names.
@@ -104,16 +107,19 @@ type callRow struct {
 	MallocP50 float64 `json:"mallocs_p50"`
 }
 
-// traced runs the workload's loop twice, half the run length each: first
-// with tracing off (timing the public calls only), then with span trees
-// and allocation deltas. It reports the per-layer metrics and writes the
+// traced runs the workload's loop for the run length, alternating whole
+// rounds with tracing off (timing the public calls only) and rounds with
+// span trees and allocation deltas, so a change in the host's speed falls
+// on both halves alike. It reports the per-layer metrics and writes the
 // per-layer table.
 func traced(ctx context.Context, cfg config, b *bench) (*result, error) {
-	half := cfg.runLength() / 2
-	light := newProbe(false)
-	plain := closedLoop(ctx, b, light, half, 1)
-	full := newProbe(true)
-	tr := closedLoop(ctx, b, full, half, 1)
+	light, full := newProbe(false), newProbe(true)
+	plain, tr := &loopRun{}, &loopRun{}
+	start := time.Now()
+	for tr.rounds == 0 || time.Since(start) < cfg.runLength() {
+		plain.add(closedLoop(ctx, b, light, 0, 1))
+		tr.add(closedLoop(ctx, b, full, 0, 1))
+	}
 
 	t := buildTable(b, plain, light, tr, full)
 	t.Workload, t.Seed = cfg.workload, cfg.seed
@@ -129,7 +135,7 @@ func traced(ctx context.Context, cfg config, b *bench) (*result, error) {
 		return nil, fmt.Errorf("write per-layer table: %w", err)
 	}
 	return &result{
-		Correct:   !plain.incorrect && !tr.incorrect,
+		Correct:   !plain.wrong && !tr.wrong,
 		Attempted: plain.attempted + tr.attempted,
 		Failed:    plain.failed + tr.failed,
 		Metrics:   t.Metrics,
@@ -139,7 +145,6 @@ func traced(ctx context.Context, cfg config, b *bench) (*result, error) {
 // buildTable turns the two halves' samples into the per-layer table.
 func buildTable(b *bench, plain *loopRun, light *probe, tr *loopRun, full *probe) *traceTable {
 	t := &traceTable{Counters: counters(full), Metrics: make(map[string]metric)}
-	t.Counters["lp.warm_period_mismatches"] = int64(tr.firstRoundMismatches)
 	values := make(map[string]float64)
 	for k, v := range t.Counters {
 		values[k] = float64(v)
@@ -246,7 +251,11 @@ func buildTable(b *bench, plain *loopRun, light *probe, tr *loopRun, full *probe
 	values["serve.hit_ms"] = median(hits)
 	values["serve.miss_ms"] = median(misses)
 	values["serve.hit_ratio"] = ratio(float64(len(hits)), float64(len(hits)+len(misses)))
-	values["obs.trace_overhead_pct"] = (ratio(plain.opsPerSecond(), tr.opsPerSecond()) - 1) * 100
+	values["obs.trace_overhead_pct"] = traceOverheadPct(light, full)
+	// The end-to-end figures on the wall clock, from the untraced half.
+	values["loop.wall_ops_per_s"] = plain.opsPerWallSecond()
+	values["loop.wall_p50_ms"] = quantile(plain.wallLatencies, 0.5)
+	values["loop.wall_p90_ms"] = quantile(plain.wallLatencies, 0.9)
 
 	for _, m := range perLayerMetrics {
 		t.Metrics[m.name] = metric{Value: values[m.name], Unit: m.unit}
@@ -300,6 +309,48 @@ func counters(full *probe) map[string]int64 {
 		}
 	}
 	return c
+}
+
+// overheadCalls are the timed calls both halves of a traced run make the
+// same way, apart from tracing: the traced half adds WithTrace (?trace=1
+// on requests) to them, and runs its extra calls (sim.latency and the
+// serving steps) and allocation reads outside their timers.
+var overheadCalls = []string{"api.solve", "api.verify", "api.report", "schedule.build", "sim.model", "sim.run", "serve.request"}
+
+// traceOverheadPct is how much more CPU time the traced half's calls took
+// than the untraced half's, in percent: per operation, the mean over
+// rounds of its overheadCalls' CPU time, summed over the operations both
+// halves ran. CPU time keeps the host's steal out of the comparison.
+func traceOverheadPct(light, full *probe) float64 {
+	plain, traced := opCallMS(light), opCallMS(full)
+	var plainMS, tracedMS float64
+	for op, ms := range plain {
+		if t, ok := traced[op]; ok {
+			plainMS += ms
+			tracedMS += t
+		}
+	}
+	return (ratio(tracedMS, plainMS) - 1) * 100
+}
+
+// opCallMS is, per operation index, the mean over rounds of the CPU time
+// the operation spent in overheadCalls.
+func opCallMS(pr *probe) map[int]float64 {
+	total := make(map[int]float64)
+	rounds := make(map[int]map[int]bool)
+	for _, name := range overheadCalls {
+		for _, s := range pr.calls[name] {
+			total[s.op] += s.cpuMS
+			if rounds[s.op] == nil {
+				rounds[s.op] = make(map[int]bool)
+			}
+			rounds[s.op][s.round] = true
+		}
+	}
+	for op := range total {
+		total[op] /= float64(len(rounds[op]))
+	}
+	return total
 }
 
 // warmOverCold is the untraced warm re-solve time over the set-up's cold

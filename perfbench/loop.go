@@ -28,9 +28,11 @@ type op struct {
 
 // opTime is the cost of a stretch of work in wall-clock time and in CPU
 // time of the whole process (every thread, user and system). The
-// end-to-end metrics use CPU time: on a virtual machine, wall-clock time
-// also counts the time the host deschedules the vCPUs (steal), which
-// swings from run to run by more than the benchmark's bounds.
+// end-to-end metrics use CPU time and say so in their names: on a virtual
+// machine, wall-clock time also counts the time the host deschedules the
+// vCPUs (steal), which swings from run to run by more than the
+// benchmark's bounds. CPU time does not count waiting, and it sums work
+// spread over both cores; the traced run reports the wall-clock figures.
 type opTime struct{ wall, cpu time.Duration }
 
 // stopwatch marks the start of a stretch of work on both clocks.
@@ -63,8 +65,12 @@ func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond)
 // they share.
 type bench struct {
 	ops []op
-	// startRound, when set, runs before every round, outside the
-	// operations' timing (serve-mixed starts a fresh server there).
+	// warm is the untimed warm-up: a fixed slice of the workload's
+	// scenarios, the same whatever the seed.
+	warm []op
+	// startRound, when set, runs before every round and before the
+	// warm-up, outside the operations' timing (serve-mixed starts a fresh
+	// server there).
 	startRound func()
 	// coldMS holds, per operation index, the set-up's cold solve time of
 	// the operation's scenario when the operation is a warm re-solve
@@ -72,22 +78,17 @@ type bench struct {
 	coldMS []float64
 	// close releases what the set-up started.
 	close func()
-	// periodMismatches counts operations whose period differed from the
-	// reference solve's (checkSamePeriod) while the throughput matched.
-	periodMismatches int
+	// reported counts the failed operations reported on standard error.
+	reported int
 }
 
-// warmUp runs the first few operations of a round once, untimed, so code
+// warmUp runs the bench's warm-up operations once, untimed, so code
 // paths are faulted in and the heap has grown before timing starts.
 func warmUp(ctx context.Context, b *bench) {
-	const warmOps = 4
 	if b.startRound != nil {
 		b.startRound()
 	}
-	for i, o := range b.ops {
-		if i == warmOps {
-			break
-		}
+	for _, o := range b.warm {
 		// Failures surface again, counted, in the timed rounds.
 		_, _ = o.run(ctx, nil)
 	}
@@ -98,68 +99,82 @@ type loopRun struct {
 	// latencies and wallLatencies are the CPU and wall-clock ms of every
 	// completed operation.
 	latencies, wallLatencies []float64
-	attempted                int
-	failed                   int
-	incorrect                bool
-	rounds                   int
+	// roundSeconds holds the wall-clock length of every round, checks
+	// and round starts included.
+	roundSeconds []float64
+	attempted    int
+	failed       int
+	// wrong is set when an operation failed a check that is not the
+	// known warm-start period fault (see checkError).
+	wrong  bool
+	rounds int
 	// spent is the loop's own cost, checks and round starts included.
 	spent opTime
-	// periodMismatches counts bench.periodMismatches over the loop and
-	// over its first round.
-	periodMismatches, firstRoundMismatches int
 }
 
 // closedLoop runs whole rounds of the bench's operations, one at a time,
 // until length has elapsed and at least minOps operations were attempted.
 func closedLoop(ctx context.Context, b *bench, pr *probe, length time.Duration, minOps int) *loopRun {
 	r := &loopRun{}
-	mismatches := b.periodMismatches
 	start := startWatch()
 	for r.rounds == 0 || time.Since(start.wall) < length || r.attempted < minOps {
+		roundStart := time.Now()
 		if b.startRound != nil {
 			b.startRound()
 		}
+		pr.nextRound()
 		for i, o := range b.ops {
-			pr.at(r.rounds, i)
+			pr.at(i)
 			lat, err := o.run(ctx, pr)
 			r.attempted++
 			if err != nil {
 				r.failed++
-				var ce *checkError
-				if errors.As(err, &ce) {
-					r.incorrect = true
-				}
-				if r.failed <= 5 {
-					fmt.Fprintf(os.Stderr, "perfbench: round %d op %s: %v\n", r.rounds, o.label, err)
+				r.wrong = r.wrong || wrongAnswer(err)
+				if b.reported < 5 {
+					b.reported++
+					fmt.Fprintf(os.Stderr, "perfbench: op %s: %v\n", o.label, err)
 				}
 				continue
 			}
 			r.latencies = append(r.latencies, ms(lat.cpu))
 			r.wallLatencies = append(r.wallLatencies, ms(lat.wall))
 		}
-		if r.rounds == 0 {
-			r.firstRoundMismatches = b.periodMismatches - mismatches
-		}
+		r.roundSeconds = append(r.roundSeconds, time.Since(roundStart).Seconds())
 		r.rounds++
 	}
 	r.spent = start.read()
-	r.periodMismatches = b.periodMismatches - mismatches
-	if r.periodMismatches > 0 {
-		fmt.Fprintf(os.Stderr, "perfbench: %d of %d operations returned the reference throughput with another period (a known fault, not counted as failed)\n",
-			r.periodMismatches, r.attempted)
-	}
 	return r
+}
+
+// add merges another loop's outcome into r.
+func (r *loopRun) add(o *loopRun) {
+	r.latencies = append(r.latencies, o.latencies...)
+	r.wallLatencies = append(r.wallLatencies, o.wallLatencies...)
+	r.roundSeconds = append(r.roundSeconds, o.roundSeconds...)
+	r.attempted += o.attempted
+	r.failed += o.failed
+	r.wrong = r.wrong || o.wrong
+	r.rounds += o.rounds
+	r.spent.wall += o.spent.wall
+	r.spent.cpu += o.spent.cpu
 }
 
 // result turns the loop's counts into the benchmark's final line, without
 // metrics.
 func (r *loopRun) result() *result {
-	return &result{Correct: !r.incorrect, Attempted: r.attempted, Failed: r.failed}
+	return &result{Correct: !r.wrong, Attempted: r.attempted, Failed: r.failed}
 }
 
-// opsPerSecond is completed operations per CPU second of the loop.
-func (r *loopRun) opsPerSecond() float64 {
-	return float64(r.attempted-r.failed) / r.spent.cpu.Seconds()
+// opsPerCPUSecond is completed operations per CPU second of the loop.
+func (r *loopRun) opsPerCPUSecond() float64 {
+	return ratio(float64(r.attempted-r.failed), r.spent.cpu.Seconds())
+}
+
+// opsPerWallSecond is a round's completed operations over the median
+// round's wall-clock length: a slow stretch of the host moves one round,
+// not the figure.
+func (r *loopRun) opsPerWallSecond() float64 {
+	return ratio(float64(r.attempted-r.failed)/float64(r.rounds), median(r.roundSeconds))
 }
 
 // quantile returns the q-quantile of xs by linear interpolation between
@@ -222,10 +237,11 @@ type probe struct {
 	serves []serveSample
 }
 
-// callSample is one timed public call.
+// callSample is one timed public call: its wall-clock and process CPU
+// ms, and on a full probe what it allocated.
 type callSample struct {
 	round, op int
-	ms        float64
+	ms, cpuMS float64
 	allocB    uint64
 	mallocs   uint64
 }
@@ -244,13 +260,21 @@ type serveSample struct {
 }
 
 func newProbe(full bool) *probe {
-	return &probe{full: full, calls: make(map[string][]callSample)}
+	return &probe{full: full, round: -1, calls: make(map[string][]callSample)}
 }
 
-// at marks the round and operation the next samples belong to.
-func (pr *probe) at(round, op int) {
+// nextRound marks the start of the probe's next round: its rounds are
+// numbered from 0, whichever loops ran them.
+func (pr *probe) nextRound() {
 	if pr != nil {
-		pr.round, pr.op = round, op
+		pr.round++
+	}
+}
+
+// at marks the operation the next samples belong to.
+func (pr *probe) at(op int) {
+	if pr != nil {
+		pr.op = op
 	}
 }
 
@@ -264,9 +288,10 @@ func (pr *probe) call(name string, f func() error) error {
 	if pr.full {
 		runtime.ReadMemStats(&before)
 	}
-	start := time.Now()
+	start := startWatch()
 	err := f()
-	s := callSample{round: pr.round, op: pr.op, ms: ms(time.Since(start))}
+	t := start.read()
+	s := callSample{round: pr.round, op: pr.op, ms: ms(t.wall), cpuMS: ms(t.cpu)}
 	if pr.full {
 		runtime.ReadMemStats(&after)
 		s.allocB = after.TotalAlloc - before.TotalAlloc

@@ -18,9 +18,10 @@
 // The last line of standard output is one JSON object with the keys
 // correct, attempted, failed and metrics. With --trace 0 the metrics are
 // the end-to-end metrics, measured with tracing off and timed in process
-// CPU time; with --trace 1 they are the per-layer metrics of a traced run,
-// whose full per-layer table is also written to a JSON file under
-// --trace-out. README.md describes the workloads and the metrics.
+// CPU time; with --trace 1 they are the per-layer metrics of a traced run
+// (among them the wall-clock figures), whose full per-layer table is also
+// written to a JSON file under --trace-out. README.md describes the
+// workloads and the metrics.
 package main
 
 import (
@@ -105,6 +106,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "perfbench: %v\n", err)
 		return 1
 	}
+	if res.Failed > 0 {
+		fmt.Fprintf(stderr, "perfbench: %d of %d operations failed\n", res.Failed, res.Attempted)
+	}
 	line, err := json.Marshal(res)
 	if err != nil {
 		fmt.Fprintf(stderr, "perfbench: %v\n", err)
@@ -127,7 +131,7 @@ func workloadNames() []string {
 // execute sets the workload up (several times, reporting the median set-up
 // time), then runs its closed loop and turns the samples into metrics.
 func execute(ctx context.Context, cfg config, setup setupFunc) (*result, error) {
-	const setups = 3
+	const setups = 5
 	var b *bench
 	var setupTimes []float64
 	for i := 0; i < setups; i++ {
@@ -158,11 +162,11 @@ func execute(ctx context.Context, cfg config, setup setupFunc) (*result, error) 
 	}
 	res := run.result()
 	res.Metrics = map[string]metric{
-		"ops_per_s":   {run.opsPerSecond(), "1/s"},
-		"op_p50_ms":   {quantile(run.latencies, 0.5), "ms"},
-		"op_p90_ms":   {quantile(run.latencies, 0.9), "ms"},
-		"rss_peak_mb": {rss, "MB"},
-		"setup_s":     {median(setupTimes), "s"},
+		"ops_per_cpu_s": {run.opsPerCPUSecond(), "1/s"},
+		"op_cpu_p50_ms": {quantile(run.latencies, 0.5), "ms"},
+		"op_cpu_p90_ms": {quantile(run.latencies, 0.9), "ms"},
+		"rss_peak_mb":   {rss, "MB"},
+		"setup_s":       {median(setupTimes), "s"},
 	}
 	return res, nil
 }

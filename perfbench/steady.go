@@ -55,39 +55,12 @@ func runSteady(cfg config, n, trace int, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stdout, "%-24s %-6s %12s %12s %12s %8s %8s\n", "metric", "unit", "q1", "median", "q3", "iqr/med", "rng/med")
 	for _, name := range names {
 		xs := values[name]
-		q := quartiles(xs)
+		q := [3]float64{quantile(xs, 0.25), quantile(xs, 0.5), quantile(xs, 0.75)}
 		lo, hi := minMax(xs)
 		fmt.Fprintf(stdout, "%-24s %-6s %12.4f %12.4f %12.4f %8.3f %8.3f\n",
 			name, units[name], q[0], q[1], q[2], ratio(q[2]-q[0], q[1]), ratio(hi-lo, q[1]))
 	}
 	return nil
-}
-
-// quartiles returns the three cut points of xs into four groups by the
-// "exclusive" method (the default of Python's statistics.quantiles).
-func quartiles(xs []float64) [3]float64 {
-	var q [3]float64
-	d := append([]float64(nil), xs...)
-	sort.Float64s(d)
-	ld := len(d)
-	switch ld {
-	case 0:
-		return q
-	case 1:
-		return [3]float64{d[0], d[0], d[0]}
-	}
-	m := ld + 1
-	for i := 1; i <= 3; i++ {
-		j := i * m / 4
-		if j < 1 {
-			j = 1
-		} else if j > ld-1 {
-			j = ld - 1
-		}
-		delta := i*m - j*4
-		q[i-1] = (d[j-1]*float64(4-delta) + d[j]*float64(delta)) / 4
-	}
-	return q
 }
 
 func minMax(xs []float64) (lo, hi float64) {
